@@ -7,6 +7,7 @@ GO ?= go
 FUZZ_TIME ?= 10s
 FUZZ_TARGETS = \
 	./internal/ipv4:FuzzHeaderParse \
+	./internal/arp:FuzzARPUnmarshal \
 	./internal/encap:FuzzDecapsulateIPIP \
 	./internal/encap:FuzzDecapsulateMinEnc \
 	./internal/encap:FuzzDecapsulateGRE \

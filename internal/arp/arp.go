@@ -140,6 +140,24 @@ func (c *Cache) Learn(ip ipv4.Addr, mac netsim.MAC, now int64) {
 	c.entries[ip] = entry{mac: mac, added: now}
 }
 
+// Refresh updates the mapping for ip at time now only if the cache
+// already holds one, and reports whether it did: the first step of RFC
+// 826's merge rule, which every receiver of an ARP packet applies to its
+// sender. Inserting a new mapping (Learn) is reserved for the target.
+func (c *Cache) Refresh(ip ipv4.Addr, mac netsim.MAC, now int64) bool {
+	if _, ok := c.entries[ip]; !ok {
+		return false
+	}
+	c.entries[ip] = entry{mac: mac, added: now}
+	return true
+}
+
+// Has reports whether the cache holds an entry for ip, stale or not.
+func (c *Cache) Has(ip ipv4.Addr) bool {
+	_, ok := c.entries[ip]
+	return ok
+}
+
 // Lookup returns the MAC for ip if present and not older than ttl.
 func (c *Cache) Lookup(ip ipv4.Addr, now, ttl int64) (netsim.MAC, bool) {
 	e, ok := c.entries[ip]
@@ -155,11 +173,17 @@ func (c *Cache) Lookup(ip ipv4.Addr, now, ttl int64) (netsim.MAC, bool) {
 }
 
 // Flush removes every entry (used when a mobile host moves to a new
-// segment: cached neighbours are meaningless there). The map's capacity is
-// reused — mobility events flush constantly and the next cell refills with
-// a similar neighbour count.
-func (c *Cache) Flush() {
-	clear(c.entries)
+// segment: cached neighbours are meaningless there), calling evicted, if
+// non-nil, with each removed address in no particular order. The map's
+// capacity is reused — mobility events flush constantly and the next cell
+// refills with a similar neighbour count.
+func (c *Cache) Flush(evicted func(ipv4.Addr)) {
+	for ip := range c.entries {
+		delete(c.entries, ip)
+		if evicted != nil {
+			evicted(ip)
+		}
+	}
 }
 
 // Invalidate removes one entry.

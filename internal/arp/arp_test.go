@@ -115,7 +115,7 @@ func TestCacheRefreshAndInvalidate(t *testing.T) {
 		t.Error("invalidated entry returned")
 	}
 	c.Learn(ip, 3, 0)
-	c.Flush()
+	c.Flush(nil)
 	if c.Len() != 0 {
 		t.Error("flush incomplete")
 	}

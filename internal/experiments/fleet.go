@@ -89,6 +89,8 @@ func FleetTable(rows []FleetResult) string {
 		}
 		fmt.Fprintf(&b, "    registered %d/%d  bindings %d  renewals %d  probes %d  expiries %d  pending %d\n",
 			r.RegisteredAtEnd, r.Nodes, r.BindingsAtEnd, r.Renewals, r.RecoveryProbes, r.Expiries, r.PendingAfterDrain)
+		fmt.Fprintf(&b, "    arp entries %d  (mobile nodes %d, %.2f per node)\n",
+			r.ARPEntries, r.NodeARPEntries, r.ARPEntriesPerNode())
 	}
 	for i := range rows {
 		r := &rows[i]

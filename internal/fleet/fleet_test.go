@@ -220,3 +220,28 @@ func BenchmarkShardedFleetStorm(b *testing.B) {
 		}
 	}
 }
+
+// TestARPStateFlatWithDensity is the count-based scaling guard for
+// broadcast cost: quadrupling the nodes per cell at a fixed cell count
+// must not grow a mobile node's ARP cache. Flooded learning (every NIC
+// caching every overheard sender) made it grow with cell size; the RFC
+// 826 merge rule caches only the neighbours a node talks to. Counts, not
+// timings, so it cannot flake.
+func TestARPStateFlatWithDensity(t *testing.T) {
+	perNode := func(nodes int) float64 {
+		r := New(Options{Seed: 1, Nodes: nodes, Cells: 4}).Run()
+		if len(r.Violations) != 0 {
+			t.Fatalf("%d nodes: violations %v", nodes, r.Violations)
+		}
+		if r.ARPEntries < r.NodeARPEntries || r.NodeARPEntries == 0 {
+			t.Fatalf("%d nodes: implausible ARP census: total %d, mobile nodes %d",
+				nodes, r.ARPEntries, r.NodeARPEntries)
+		}
+		return r.ARPEntriesPerNode()
+	}
+	sparse, dense := perNode(16), perNode(64)
+	t.Logf("ARP entries per mobile node: %.2f at 4 per cell, %.2f at 16 per cell", sparse, dense)
+	if dense > 1.25*sparse {
+		t.Errorf("ARP entries per node grew with cell density: %.2f -> %.2f at 4x the nodes per cell", sparse, dense)
+	}
+}

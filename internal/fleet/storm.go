@@ -44,6 +44,13 @@ type Result struct {
 	// End-of-run state.
 	RegisteredAtEnd int // nodes holding a confirmed binding at EndAt
 	BindingsAtEnd   int // home agent's table size at EndAt
+	// Link-layer state at EndAt, after Helmy's per-node state analysis:
+	// live ARP cache entries over every host in the topology, and over
+	// the mobile nodes alone. Under RFC 826's merge rule a node caches
+	// the neighbours it talks to, not every host it overhears, so the
+	// per-node figure stays flat as cells grow denser.
+	ARPEntries     int
+	NodeARPEntries int
 
 	// FacadeEchoes counts conversations the far facade echo server
 	// answered: the clsFacade workload (both ends on internal/sock core
@@ -111,6 +118,14 @@ type Result struct {
 	PendingAfterDrain int
 	Metrics           metrics.Snapshot
 	Violations        []string
+}
+
+// ARPEntriesPerNode is the mean ARP cache size of a mobile node at EndAt.
+func (r *Result) ARPEntriesPerNode() float64 {
+	if r.Nodes == 0 {
+		return 0
+	}
+	return float64(r.NodeARPEntries) / float64(r.Nodes)
 }
 
 // Run executes the handoff-storm schedule and returns the trial result:
@@ -216,7 +231,9 @@ func (f *Fleet) Run() Result {
 		if n.MN.Registered() {
 			res.RegisteredAtEnd++
 		}
+		res.NodeARPEntries += n.Host.ARPEntries()
 	}
+	res.ARPEntries = f.Net.ARPEntries()
 	if opts.RouteOpt.engaged() {
 		tallyPush := func(st *routeopt.PushStats) {
 			res.PushUpdatesSent += st.UpdatesSent

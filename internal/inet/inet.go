@@ -218,6 +218,21 @@ func (n *Network) Host(name string) *stack.Host { return n.hosts[name] }
 // Router returns a router by name (nil if absent).
 func (n *Network) Router(name string) *stack.Host { return n.routers[name] }
 
+// ARPEntries sums the ARP cache entries held by every host and router:
+// the network's link-layer neighbour state.
+func (n *Network) ARPEntries() int {
+	total := 0
+	//mob4x4vet:allow mapiter summed into a scalar; order cannot leak
+	for _, h := range n.hosts {
+		total += h.ARPEntries()
+	}
+	//mob4x4vet:allow mapiter summed into a scalar; order cannot leak
+	for _, r := range n.routers {
+		total += r.ARPEntries()
+	}
+	return total
+}
+
 // AttachRouter puts a router on a LAN with an auto-allocated address; the
 // first router attached becomes the LAN's gateway.
 func (n *Network) AttachRouter(r *stack.Host, lan *LAN) *stack.Iface {

@@ -199,7 +199,7 @@ func (ha *HomeAgent) Crash() {
 	// sort the old map-keyed table needed.
 	ha.bindings.forEach(func(b *binding) {
 		ha.host.Unclaim(b.home)
-		ha.iface.Proxy().Remove(b.home)
+		ha.iface.RemoveProxy(b.home)
 	})
 	ha.bindings.reset()
 	ha.wheel.reset()
@@ -372,7 +372,7 @@ func (ha *HomeAgent) register(req *Request) {
 		})
 		// Gratuitous proxy ARP ([RFC1027]): neighbours on the home
 		// segment now deliver the mobile host's frames to us.
-		ha.iface.Proxy().Add(req.Home)
+		ha.iface.AddProxy(req.Home)
 		ha.iface.GratuitousARP(req.Home)
 	} else {
 		// New binding generation: the wheel entry for the previous
@@ -428,7 +428,7 @@ func (ha *HomeAgent) deregister(home ipv4.Addr) {
 	}
 	ha.bindGauge.Set(int64(ha.bindings.len()))
 	ha.host.Unclaim(home)
-	ha.iface.Proxy().Remove(home)
+	ha.iface.RemoveProxy(home)
 	var detail string
 	if ha.host.Sim().Trace.Detailing() {
 		detail = fmt.Sprintf("binding %s cleared", home)

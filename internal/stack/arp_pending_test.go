@@ -22,7 +22,7 @@ func TestARPPendingQueueBounded(t *testing.T) {
 	}
 	// All sends happened in one instant: the queue holds the newest 4,
 	// the other 6 were shed on arrival.
-	job := a.Ifaces()[0].pending[ghost]
+	job := a.Ifaces()[0].pendingJob(ghost)
 	if job == nil {
 		t.Fatal("no pending resolution for ghost address")
 	}
@@ -52,7 +52,7 @@ func TestARPQueueUnboundedWhenDisabled(t *testing.T) {
 	for k := 0; k < 100; k++ {
 		_ = a.SendIP(ipv4.Packet{Header: ipv4.Header{Protocol: 99, Dst: ghost}})
 	}
-	if got := len(a.Ifaces()[0].pending[ghost].pkts); got != 100 {
+	if got := len(a.Ifaces()[0].pendingJob(ghost).pkts); got != 100 {
 		t.Errorf("pending queue holds %d packets, want 100", got)
 	}
 	if a.Stats.DroppedARPExpired != 0 {

@@ -191,7 +191,10 @@ type Iface struct {
 	// domain; the filter policy distinguishes inside from outside.
 	Outside bool
 
-	pending map[ipv4.Addr]*resolveJob
+	pending []*resolveJob
+	// spare is a finished resolveJob kept for the next miss (see
+	// resolveJob); its timer belongs to the host's current scheduler.
+	spare *resolveJob
 
 	// groups is the set of multicast groups joined on this interface.
 	groups map[ipv4.Addr]bool
@@ -211,6 +214,7 @@ func (h *Host) AddIface(name string, seg *netsim.Segment, addr ipv4.Addr, prefix
 		// cache, proxy, and pending all initialize lazily on first use.
 	}
 	nic.SetReceiver(ifc.receiveFrame)
+	ifc.syncARPInterest(addr)
 	if seg != nil {
 		nic.Attach(seg)
 	}
@@ -246,11 +250,15 @@ func (i *Iface) Addr() ipv4.Addr { return i.addr }
 // Prefix returns the interface's on-link prefix.
 func (i *Iface) Prefix() ipv4.Prefix { return i.prefix }
 
-// Proxy returns the interface's proxy-ARP set (home agents use this).
-func (i *Iface) Proxy() *arp.Proxy { return &i.proxy }
-
-// ARPCache returns the interface's ARP cache.
-func (i *Iface) ARPCache() *arp.Cache { return &i.cache }
+// ARPEntries reports the ARP cache entries held across all of the host's
+// interfaces: per-node link-layer state.
+func (h *Host) ARPEntries() int {
+	n := 0
+	for _, ifc := range h.ifaces {
+		n += ifc.cache.Len()
+	}
+	return n
+}
 
 // SetAddr reconfigures the interface address and on-link prefix,
 // replacing the old connected route. This is the "obtained a new care-of
@@ -259,9 +267,12 @@ func (i *Iface) SetAddr(addr ipv4.Addr, prefix ipv4.Prefix) {
 	if i.prefix.Bits > 0 {
 		i.host.routes.RemoveConnected(i)
 	}
+	old := i.addr
 	i.addr = addr
 	i.prefix = prefix
-	i.cache.Flush()
+	i.flushARP()
+	i.syncARPInterest(old)
+	i.syncARPInterest(addr)
 	if prefix.Bits > 0 {
 		i.host.routes.Add(Route{Prefix: prefix, Iface: i, Metric: 0})
 	}
@@ -270,8 +281,8 @@ func (i *Iface) SetAddr(addr ipv4.Addr, prefix ipv4.Prefix) {
 // Attach moves the interface onto a segment (mobility primitive). The ARP
 // cache is flushed: neighbours from the old segment are meaningless.
 func (i *Iface) Attach(seg *netsim.Segment) {
+	i.flushARP()
 	i.nic.Attach(seg)
-	i.cache.Flush()
 	var detail string
 	if i.host.sim.Trace.Detailing() {
 		detail = "iface " + i.nic.Name() + " attached to " + segName(seg)
@@ -284,8 +295,8 @@ func (i *Iface) Attach(seg *netsim.Segment) {
 
 // Detach disconnects the interface.
 func (i *Iface) Detach() {
+	i.flushARP()
 	i.nic.Detach()
-	i.cache.Flush()
 	var detail string
 	if i.host.sim.Trace.Detailing() {
 		detail = "iface " + i.nic.Name() + " detached"
@@ -374,13 +385,14 @@ func (h *Host) Quiesce() {
 	}
 	h.reasm.Expire()
 	for _, ifc := range h.ifaces {
-		//mob4x4vet:allow mapiter only commutative drop counters escape; the jobs are discarded wholesale
-		for _, job := range ifc.pending {
+		pending := ifc.pending
+		ifc.pending = nil
+		for _, job := range pending {
 			job.timer.Stop()
 			h.Stats.DroppedARPExpired += uint64(len(job.pkts))
 			h.metrics.DropN(metrics.DropARPExpired, uint64(len(job.pkts)))
+			ifc.syncARPInterest(job.target)
 		}
-		ifc.pending = nil
 	}
 }
 
@@ -402,7 +414,8 @@ func (h *Host) Rehome(sim *netsim.Sim) {
 			assert.Unreachable("stack: Rehome of %s with in-flight ARP resolutions (call Quiesce first)", h.name)
 		}
 		ifc.nic.Rehome(sim)
-		ifc.cache.Flush()
+		ifc.flushARP()
+		ifc.spare = nil // its timer handle is bound to the old scheduler
 	}
 	// The reassembly timer handle is bound to the old scheduler; drop it
 	// so the next fragment arms a fresh one on the new region's clock.

@@ -371,7 +371,7 @@ func TestGratuitousARPUpdatesNeighbors(t *testing.T) {
 	seg := a.Ifaces()[0].NIC().Segment()
 	c := NewHost(sim, "c")
 	ci := c.AddIface("eth0", seg, ipv4.MustParseAddr("10.0.0.3"), ipv4.MustParsePrefix("10.0.0.0/24"))
-	ci.Proxy().Add(b.FirstAddr())
+	ci.AddProxy(b.FirstAddr())
 	cGot := capture(c, 99)
 	ci.GratuitousARP(b.FirstAddr())
 	sim.Sched.Run()
