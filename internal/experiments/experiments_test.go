@@ -48,9 +48,8 @@ func TestOverheadArithmetic(t *testing.T) {
 }
 
 func TestTunnelFragmentationDoubling(t *testing.T) {
-	// 1490-byte UDP payload: fits plain (1518 > ... no: 1490+8+20 = 1518
-	// exceeds 1500), use 1450: plain = 1478 fits; tunneled = 1498+20 =
-	// exceeds; wait — pick 1460: plain 1488 fits, encap 1508 fragments.
+	// A 1460-byte UDP payload fits the MTU plain (1488 bytes) but not
+	// IPIP-encapsulated (1508), so the tunnel fragments it.
 	r := RunTunnelFragmentation(3, 1460)
 	if !r.Delivered {
 		t.Fatal("payload not delivered in both modes")
@@ -58,6 +57,13 @@ func TestTunnelFragmentationDoubling(t *testing.T) {
 	if r.TunnelPackets <= r.PlainPackets {
 		t.Errorf("tunneled backbone packets (%d) not greater than plain (%d); fragmentation doubling not observed",
 			r.TunnelPackets, r.PlainPackets)
+	}
+	// Plain: one packet on each of the 4 backbone hops to the far
+	// correspondent. Tunneled: two fragments on each of the 4 hops to the
+	// home agent, then the reassembled datagram on 2 hops to the far
+	// correspondent. ARP frames on those links are not counted.
+	if r.PlainPackets != 4 || r.TunnelPackets != 10 {
+		t.Errorf("backbone IPv4 packets = %d plain, %d tunneled; want 4, 10", r.PlainPackets, r.TunnelPackets)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"mob4x4/internal/assert"
 	"mob4x4/internal/encap"
 	"mob4x4/internal/ipv4"
+	"mob4x4/internal/netsim"
 )
 
 // OverheadRow is one point of the encapsulation size/fragmentation sweep
@@ -92,17 +93,27 @@ type TunnelFragmentationResult struct {
 }
 
 // RunTunnelFragmentation sends one datagram of the given size Out-DT
-// (plain) and Out-IE (tunneled) and counts backbone frames.
+// (plain) and Out-IE (tunneled) and counts the IPv4 frames that cross
+// the backbone.
 func RunTunnelFragmentation(seed int64, payload int) TunnelFragmentationResult {
 	res := TunnelFragmentationResult{PayloadBytes: payload}
 
-	countBackbone := func(s *Scenario) uint64 {
-		var total uint64
+	// countBackbone installs an observing fault hook (it never impairs)
+	// on every backbone link and returns a pointer to the number of IPv4
+	// frames they carry. ARP on those links is not part of the figure,
+	// so it cannot move with how ARP frames are delivered.
+	countBackbone := func(s *Scenario) *uint64 {
+		total := new(uint64)
 		for _, seg := range s.Net.Sim.Segments() {
 			name := seg.Name()
 			if strings.HasPrefix(name, "p2p-bb") || strings.HasPrefix(name, "p2p-visitGWA-bb") ||
 				strings.HasPrefix(name, "p2p-homeGW-bb") || strings.HasPrefix(name, "p2p-farGW-bb") {
-				total += seg.Delivered
+				seg.SetFaultHook(func(f netsim.Frame) netsim.Impairment {
+					if f.Type == netsim.EtherTypeIPv4 {
+						*total++
+					}
+					return netsim.Impairment{}
+				})
 			}
 		}
 		return total
@@ -124,7 +135,7 @@ func RunTunnelFragmentation(seed int64, payload int) TunnelFragmentationResult {
 		mhSock, err := s.MHHost.OpenUDP(ipv4.Zero, 0, nil)
 		assert.NoError(err, "overhead: open MH socket")
 		sock = mhSock
-		before := countBackbone(s)
+		backbone := countBackbone(s)
 		if tunnel {
 			// Out-IE: source the packet from the home address; the
 			// (pessimistic) selector starts at Out-IE.
@@ -133,7 +144,7 @@ func RunTunnelFragmentation(seed int64, payload int) TunnelFragmentationResult {
 			_ = sock.SendToFrom(s.MN.CareOf(), s.CHFar.FirstAddr(), 6000, make([]byte, payload))
 		}
 		s.Net.RunFor(10 * Second)
-		return countBackbone(s) - before, delivered
+		return *backbone, delivered
 	}
 
 	res.PlainPackets, res.Delivered = run(false)
