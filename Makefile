@@ -15,7 +15,10 @@ FUZZ_TARGETS = \
 	./internal/encap:FuzzDecapsulateCompact \
 	./internal/encap:FuzzDecapsulateCompactHome \
 	./internal/encap:FuzzEncapRoundTrip \
+	./internal/icmp:FuzzUnmarshal \
+	./internal/udp:FuzzUnmarshal \
 	./internal/mobileip:FuzzAuthExtension \
+	./internal/mobileip:FuzzParseMessage \
 	./internal/routeopt:FuzzParseUpdate \
 	./internal/routeopt:FuzzParseAck
 
@@ -36,11 +39,13 @@ lint:
 test:
 	$(GO) test ./...
 
-# Race matrix: the unit suite plus the chaos, fleet, and adversary
-# smokes, all under the race detector. The smokes matter here because
-# their drivers fan trials over -parallel workers — the only place
-# distinct goroutines touch scheduler-adjacent state concurrently. CI
-# runs the same legs (check/chaos-smoke/fleet-smoke/adversary-smoke).
+# Race matrix: the unit suite plus the chaos, fleet, adversary, facade
+# and routeopt smokes, all under the race detector. The smokes matter
+# here because their drivers fan trials over -parallel workers — the
+# only place distinct goroutines touch scheduler-adjacent state
+# concurrently (the facade smoke adds real application goroutines
+# driving the virtual clock). CI runs the same legs
+# (check/chaos-smoke/fleet-smoke/adversary-smoke/facade-smoke/routeopt-smoke).
 race:
 	$(GO) test -race ./...
 	$(MAKE) chaos-smoke
@@ -126,9 +131,10 @@ facade-smoke:
 	$(GO) test ./internal/experiments -race -count=1 -run 'TestHTTPGrid|TestWriteCaptures'
 
 # Runtime determinism gate (scripts/determinismdiff.go): build
-# ./cmd/mob4x4 once, run every experiment twice per seed plus once under
-# -parallel for the fan-out drivers and once per DET_SHARDS value for
-# the sharded-engine experiments (chaos/fleet), SHA-256 each run's full
+# ./cmd/mob4x4 once, run every entry of the experiment registry
+# (internal/experiments/registry.go) twice per seed plus once under
+# -parallel for the entries marked Parallel and once per DET_SHARDS
+# value for the entries marked Shards, SHA-256 each run's full
 # stdout (tables, metrics dumps, report JSON, chaos series), fail on any
 # divergence — including sharded-vs-serial.
 # DET_SEEDS is capped at two seeds in CI on purpose: each extra seed

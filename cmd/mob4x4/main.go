@@ -4,10 +4,12 @@
 //
 // Usage:
 //
-//	mob4x4 [-seed N] [-parallel N] [-shards N] [-metrics | -metrics-json]
-//	       [-pcap DIR] [-cpuprofile FILE] [-memprofile FILE] <experiment>
+//	mob4x4 [flags] <experiment> [flags]
 //
-// Flags may also follow the experiment name (mob4x4 fig10 -metrics).
+// `mob4x4 -h` lists the flags and every experiment in the registry
+// (internal/experiments/registry.go); `all` runs the paper's experiments
+// in order and `report` renders them as one markdown document.
+//
 // -parallel runs independent trials concurrently; -shards parallelizes
 // the region shards inside each fleet trial (both byte-identical for any
 // value, and freely combined). -pcap writes the packet captures of
@@ -17,366 +19,212 @@
 // With -metrics (text) or -metrics-json, the run's metrics registries
 // are dumped after the experiment output; grid/fig10 instead emit the
 // machine-readable 4x4 grid report (deterministic JSON, byte-identical
-// for any seed and worker count), and chaos emits each trial's final
-// snapshot plus the 2s-period drop-counter time series.
+// for any seed and worker count), and the trial experiments emit each
+// trial's final snapshot (chaos adds its 2s-period drop-counter series).
 //
-// Experiments:
-//
-//	fig1        basic Mobile IP: asymmetric routing via the home agent
-//	fig2        source-address filtering drops Out-DH (filter on)
-//	fig3        alias for fig2 with the Out-IE row highlighted
-//	fig4        triangle routing vs home-agent distance sweep
-//	fig5        smart correspondent: ICMP + DNS care-of discovery
-//	formats     packet formats of Figures 6-9 (s/d/S/D table)
-//	grid        the 4x4 matrix of Figure 10 (see also cmd/gridshow)
-//	fig10       alias for grid
-//	overhead    encapsulation size overhead and MTU crossing (Section 3.3)
-//	adaptive    start-strategy comparison (Section 7.1.2)
-//	durability  connection survival across movement (Section 2)
-//	webbrowse   Out-DT port heuristic vs full Mobile IP (Row D)
-//	fa          foreign-agent vs self-sufficient attachment (Section 2)
-//	transitions correspondent-side mode transitions (Section 7.2)
-//	multicast   local group join vs home-agent relay (Section 6.4)
-//	trace       traceroute to the home address, at home vs roamed
-//	httpgrid    unmodified net/http + DNS over the socket facade in all
-//	            16 (Out,In) pairs, with per-cell pcap capture hashes
-//	dualmobile  both endpoints mobile, session survives both roaming (§1)
-//	asymmetry   latency/bandwidth asymmetry of the two path directions (§2)
-//	savings     shared-resource load per correspondent capability (§3.2)
-//	chaos       fault injection & self-healing soak (-trials N for more)
-//	fleet       fleet-scale handoff storm (-nodes N -cells K -model M)
-//	adversary   authenticated fleet vs attack storm (same flags as fleet)
-//	routeopt    route-optimization tier: pushed binding updates, compact
-//	            encapsulation, hierarchical registration (fleet flags)
-//	report      every experiment rendered as one markdown document
-//	all         every experiment in order
+// Exit status: 0 on success, 1 when an experiment's invariant check
+// fails (grid: agreement with the paper below 16/16), 2 on bad usage.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"mob4x4/internal/experiments"
+	"mob4x4/internal/fleet"
 	"mob4x4/internal/metrics"
 )
 
-func main() {
-	seed := flag.Int64("seed", 1, "simulation seed")
-	parallel := flag.Int("parallel", 1, "worker goroutines for independent trials (grid/adaptive/durability/webbrowse/chaos/fleet/adversary/routeopt)")
-	trials := flag.Int("trials", 1, "independent chaos/fleet/adversary/routeopt trials (seeds seed..seed+N-1)")
-	nodes := flag.Int("nodes", 2000, "fleet: mobile node count")
-	cells := flag.Int("cells", 32, "fleet: visited cell count")
-	model := flag.String("model", "waypoint", "fleet: movement model (waypoint | markov)")
-	shards := flag.Int("shards", 1, "fleet: worker goroutines driving the region shards inside one trial (output is byte-identical for any value; other experiments accept and ignore it)")
-	metricsText := flag.Bool("metrics", false, "dump metrics after the experiment (grid/fig10: the machine-readable 4x4 report)")
-	metricsJSON := flag.Bool("metrics-json", false, "like -metrics, as JSON")
-	pcapDir := flag.String("pcap", "", "write capture-aware experiments' packet captures into `dir` (httpgrid)")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to `file`")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile (post-run, after GC) to `file`")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: mob4x4 [-seed N] [-parallel N] [-shards N] [-metrics | -metrics-json] [-cpuprofile FILE] [-memprofile FILE] <experiment>\nrun 'go doc mob4x4/cmd/mob4x4' for the experiment list\n")
-	}
-	flag.Parse()
-	if flag.NArg() < 1 {
-		flag.Usage()
-		os.Exit(2)
-	}
-	name := flag.Arg(0)
-	if flag.NArg() > 1 {
-		// Allow flags after the experiment name: mob4x4 fig10 -metrics.
-		_ = flag.CommandLine.Parse(flag.Args()[1:])
-		if flag.NArg() != 0 {
-			flag.Usage()
-			os.Exit(2)
-		}
-	}
-	wantMetrics := *metricsText || *metricsJSON
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	// Profiles cover the whole dispatch below and are finalized on normal
-	// exit (error paths exit hard and abandon them, like the rest of the
-	// tooling expects).
+// run is the whole command: it parses args, runs one experiment (or all)
+// and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	registry := experiments.Experiments()
+	names := func(honours func(experiments.Experiment) bool) string {
+		var out []string
+		for _, e := range registry {
+			if honours(e) {
+				out = append(out, e.Name)
+			}
+		}
+		return strings.Join(out, "/")
+	}
+	fleetNames := names(func(e experiments.Experiment) bool { return e.Fleet })
+
+	var cfg experiments.Config
+	fs := flag.NewFlagSet("mob4x4", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Int64Var(&cfg.Seed, "seed", 1, "simulation seed")
+	fs.IntVar(&cfg.Parallel, "parallel", 1, "worker goroutines for independent trials ("+
+		names(func(e experiments.Experiment) bool { return e.Parallel })+")")
+	fs.IntVar(&cfg.Trials, "trials", 1, "independent trials, seeds seed..seed+N-1 ("+
+		names(func(e experiments.Experiment) bool { return e.Trials })+")")
+	fs.IntVar(&cfg.Nodes, "nodes", 2000, fleetNames+": mobile node count")
+	fs.IntVar(&cfg.Cells, "cells", 32, fleetNames+": visited cell count")
+	fs.StringVar(&cfg.Model, "model", fleet.ModelWaypoint, fleetNames+": movement model (waypoint | markov)")
+	fs.IntVar(&cfg.Shards, "shards", 1, fleetNames+": worker goroutines driving the region shards inside one trial (output is byte-identical for any value; other experiments accept and ignore it)")
+	metricsText := fs.Bool("metrics", false, "dump metrics after the experiment (grid/fig10: the machine-readable 4x4 report)")
+	metricsJSON := fs.Bool("metrics-json", false, "like -metrics, as JSON")
+	pcapDir := fs.String("pcap", "", "write capture-aware experiments' packet captures into `dir` (httpgrid)")
+	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to `file`")
+	memprofile := fs.String("memprofile", "", "write a pprof heap profile (post-run, after GC) to `file`")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: mob4x4 [flags] <experiment> [flags]\n\nflags:\n")
+		fs.PrintDefaults()
+		fmt.Fprintf(stderr, "\nexperiments:\n")
+		for _, e := range registry {
+			name := e.Name
+			if e.Alias != "" {
+				name += "|" + e.Alias
+			}
+			fmt.Fprintf(stderr, "  %-12s %s\n", name, e.Doc)
+		}
+		fmt.Fprintf(stderr, "  %-12s %s\n", "all", "every entry the report renders, in this order")
+	}
+	usageErr := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "mob4x4: "+format+"\n", a...)
+		fs.Usage()
+		return 2
+	}
+
+	// Flags may also follow the experiment name: mob4x4 fig10 -metrics.
+	if err := fs.Parse(args); err != nil {
+		return parseStatus(err)
+	}
+	if fs.NArg() < 1 {
+		return usageErr("no experiment named")
+	}
+	name := fs.Arg(0)
+	if err := fs.Parse(fs.Args()[1:]); err != nil {
+		return parseStatus(err)
+	}
+	if fs.NArg() != 0 {
+		return usageErr("unexpected arguments after %s: %q", name, fs.Args())
+	}
+	if cfg.Trials < 1 {
+		return usageErr("-trials must be at least 1, got %d", cfg.Trials)
+	}
+	if cfg.Model != fleet.ModelWaypoint && cfg.Model != fleet.ModelMarkov {
+		return usageErr("unknown -model %q", cfg.Model)
+	}
+	switch {
+	case *metricsJSON:
+		cfg.Metrics = experiments.MetricsJSON
+	case *metricsText:
+		cfg.Metrics = experiments.MetricsText
+	}
+	entry, ok := experiments.Lookup(name)
+	if !ok && name != "all" {
+		return usageErr("unknown experiment %q", name)
+	}
+
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mob4x4: cpuprofile: %v\n", err)
-			os.Exit(1)
+		if err == nil {
+			defer f.Close()
+			err = pprof.StartCPUProfile(f)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "mob4x4: cpuprofile: %v\n", err)
-			os.Exit(1)
+		if err != nil {
+			fmt.Fprintf(stderr, "mob4x4: cpuprofile: %v\n", err)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mob4x4: memprofile: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			runtime.GC() // settle the live set so the profile shows retained memory
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "mob4x4: memprofile: %v\n", err)
-				os.Exit(1)
-			}
-		}()
-	}
-
 	// Every scenario built below registers its registry here; the dump
 	// after the experiment is sorted, so it is deterministic for any
 	// worker count.
 	var coll metrics.Collector
-	if wantMetrics {
+	if cfg.Metrics != experiments.MetricsOff {
 		experiments.SetCollector(&coll)
+		defer experiments.SetCollector(nil)
 	}
 	if *pcapDir != "" {
 		experiments.SetCaptureDir(*pcapDir)
+		defer experiments.SetCaptureDir("")
+	}
+
+	if err := runExperiment(stdout, cfg, name, entry, &coll); err != nil {
+		fmt.Fprintf(stderr, "mob4x4: %v\n", err)
+		return 1
 	}
 	// Capture files land after the experiment; the note goes to stderr so
 	// stdout stays byte-comparable across runs.
-	writeCaptures := func() {
-		if *pcapDir == "" {
-			return
-		}
+	if *pcapDir != "" {
 		n, err := experiments.WriteCaptures()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mob4x4: write captures: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "mob4x4: write captures: %v\n", err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "mob4x4: wrote %d capture(s) to %s\n", n, *pcapDir)
+		fmt.Fprintf(stderr, "mob4x4: wrote %d capture(s) to %s\n", n, *pcapDir)
 	}
-	defer writeCaptures()
-	dumpCollector := func() {
-		if *metricsJSON {
-			b, err := json.MarshalIndent(coll.Snapshots(), "", "  ")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mob4x4: marshal metrics: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(string(b))
-		} else if *metricsText {
-			if err := coll.WriteText(os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "mob4x4: write metrics: %v\n", err)
-				os.Exit(1)
-			}
+	if *memprofile != "" {
+		if err := writeHeapProfile(*memprofile); err != nil {
+			fmt.Fprintf(stderr, "mob4x4: memprofile: %v\n", err)
+			return 1
 		}
 	}
+	return 0
+}
 
-	run := map[string]func(int64){
-		"fig1": func(s int64) { fmt.Print(experiments.RunFig1(s).String()) },
-		"fig2": func(s int64) {
-			fmt.Print(experiments.RunFig2(s, true).String())
-			fmt.Println()
-			fmt.Print(experiments.RunFig2(s, false).String())
-		},
-		"fig3": func(s int64) { fmt.Print(experiments.RunFig2(s, true).String()) },
-		"fig4": func(s int64) {
-			// Beyond d=16 the doubled triangle path exceeds the default
-			// TTL (64) and In-IE stops delivering at all — a real
-			// deployment consequence of triangle routing, but beyond
-			// the figure's sweep.
-			fmt.Print(experiments.Fig4Table(experiments.RunFig4(s, []int{0, 1, 2, 4, 8, 16})))
-		},
-		"fig5":    func(s int64) { fmt.Print(experiments.RunFig5(s).String()) },
-		"formats": func(int64) { fmt.Print(experiments.FormatsTable(experiments.RunFormats())) },
-		"grid": func(s int64) {
-			if wantMetrics {
-				// The machine-readable report: deterministic JSON,
-				// byte-identical for any seed and worker count.
-				fmt.Print(experiments.RunGridReport(s, *parallel).JSON())
-				return
-			}
-			grid := experiments.RunGridParallel(s, *parallel)
-			fmt.Print(experiments.GridTable(grid))
-			m, t, _ := experiments.GridAgreement(grid)
-			fmt.Printf("agreement with paper classification: %d/%d\n", m, t)
-		},
-		"overhead": func(s int64) {
-			fmt.Print(experiments.OverheadTable(experiments.RunOverhead(
-				[]int{64, 512, 1400, 1456, 1460, 1470, 1475, 1480, 1500, 4000, 8192}, 1500)))
-			fr := experiments.RunTunnelFragmentation(s, 1460)
-			fmt.Printf("\nend-to-end: %dB payload crossed the backbone in %d packets plain, %d tunneled (delivered=%v)\n",
-				fr.PayloadBytes, fr.PlainPackets, fr.TunnelPackets, fr.Delivered)
-		},
-		"adaptive": func(s int64) {
-			fmt.Print(experiments.AdaptiveTable(experiments.RunAdaptiveParallel(s, true, *parallel)))
-			fmt.Println()
-			fmt.Print(experiments.AdaptiveTable(experiments.RunAdaptiveParallel(s, false, *parallel)))
-		},
-		"durability": func(s int64) {
-			fmt.Print(experiments.DurabilityTable(experiments.RunDurabilityParallel(s, 3, *parallel)))
-		},
-		"webbrowse": func(s int64) {
-			rows := experiments.RunWebBrowseParallel(s, 10, *parallel)
-			fmt.Printf("Row D — web browsing, 10 sequential fetches of 8KiB:\n")
-			for _, r := range rows {
-				fmt.Printf("  %-9s completed=%d/%d  time=%-12v backbone=%dB\n",
-					r.Mode, r.Completed, r.Fetches, r.TotalTime, r.BackboneBytes)
-			}
-		},
-		"fa": func(s int64) {
-			rows := []experiments.FAResult{
-				experiments.RunForeignAgent(s, false),
-				experiments.RunForeignAgent(s, true),
-			}
-			fmt.Print(experiments.FATable(rows))
-		},
-		"transitions": func(s int64) { fmt.Println(experiments.RunCorrespondentTransitions(s).String()) },
-		"multicast": func(s int64) {
-			rows := []experiments.MulticastResult{
-				experiments.RunMulticast(s, true, 10),
-				experiments.RunMulticast(s, false, 10),
-			}
-			fmt.Print(experiments.MulticastTable(rows))
-		},
-		"trace": func(s int64) {
-			fmt.Print(experiments.TraceTable(experiments.RunTraceroutes(s)))
-		},
-		"httpgrid": func(s int64) {
-			fmt.Print(experiments.HTTPGridTable(experiments.RunHTTPGridParallel(s, *parallel)))
-		},
-		"dualmobile": func(s int64) {
-			fmt.Print(experiments.RunDualMobile(s).String())
-		},
-		"asymmetry": func(s int64) {
-			fmt.Print(experiments.RunAsymmetry(s).String())
-		},
-		"savings": func(s int64) {
-			fmt.Print(experiments.SavingsTable(experiments.RunSavings(s)))
-		},
-		"chaos": func(s int64) {
-			rows := experiments.RunChaosParallel(s, *trials, *parallel)
-			fmt.Print(experiments.ChaosTable(rows))
-			if wantMetrics {
-				for _, r := range rows {
-					fmt.Printf("== chaos seed=%d ==\n", r.Seed)
-					if *metricsJSON {
-						os.Stdout.Write(r.Metrics.JSON())
-					} else if err := r.Metrics.WriteText(os.Stdout); err != nil {
-						fmt.Fprintf(os.Stderr, "mob4x4: write metrics: %v\n", err)
-						os.Exit(1)
-					}
-					err := metrics.WriteTSV(os.Stdout, r.Series,
-						"ip/delivered", "drop/gilbert_elliott", "drop/blackhole", "drop/down")
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "mob4x4: write series: %v\n", err)
-						os.Exit(1)
-					}
-				}
-			}
-			for _, r := range rows {
-				if len(r.Violations) > 0 {
-					fmt.Fprintf(os.Stderr, "mob4x4: chaos invariant violations (reproduce: mob4x4 -seed %d chaos)\n", r.Seed)
-					os.Exit(1)
-				}
-			}
-		},
-		"fleet": func(s int64) {
-			spec := experiments.FleetSpec{Nodes: *nodes, Cells: *cells, Model: *model, Shards: *shards}
-			rows := experiments.RunFleetParallel(s, *trials, *parallel, spec)
-			fmt.Print(experiments.FleetTable(rows))
-			if wantMetrics {
-				for _, r := range rows {
-					fmt.Printf("== fleet seed=%d ==\n", r.Seed)
-					if *metricsJSON {
-						os.Stdout.Write(r.Metrics.JSON())
-					} else if err := r.Metrics.WriteText(os.Stdout); err != nil {
-						fmt.Fprintf(os.Stderr, "mob4x4: write metrics: %v\n", err)
-						os.Exit(1)
-					}
-				}
-			}
-			for _, r := range rows {
-				if len(r.Violations) > 0 {
-					fmt.Fprintf(os.Stderr, "mob4x4: fleet invariant violations (reproduce: mob4x4 -seed %d -nodes %d -cells %d -model %s fleet)\n",
-						r.Seed, *nodes, *cells, *model)
-					os.Exit(1)
-				}
-			}
-		},
-		"adversary": func(s int64) {
-			spec := experiments.AdversarySpec{Nodes: *nodes, Cells: *cells, Model: *model, Shards: *shards}
-			rows := experiments.RunAdversaryParallel(s, *trials, *parallel, spec)
-			fmt.Print(experiments.AdversaryTable(rows))
-			if wantMetrics {
-				for i := range rows {
-					r := &rows[i]
-					fmt.Printf("== adversary seed=%d (attacked run) ==\n", r.Attack.Seed)
-					if *metricsJSON {
-						os.Stdout.Write(r.Attack.Metrics.JSON())
-					} else if err := r.Attack.Metrics.WriteText(os.Stdout); err != nil {
-						fmt.Fprintf(os.Stderr, "mob4x4: write metrics: %v\n", err)
-						os.Exit(1)
-					}
-				}
-			}
-			for i := range rows {
-				if len(rows[i].Violations) > 0 {
-					fmt.Fprintf(os.Stderr, "mob4x4: adversary invariant violations (reproduce: mob4x4 -seed %d -nodes %d -cells %d -model %s adversary)\n",
-						rows[i].Attack.Seed, *nodes, *cells, *model)
-					os.Exit(1)
-				}
-			}
-		},
-		"routeopt": func(s int64) {
-			spec := experiments.RouteOptSpec{Nodes: *nodes, Cells: *cells, Model: *model, Shards: *shards}
-			rows := experiments.RunRouteOptParallel(s, *trials, *parallel, spec)
-			fmt.Print(experiments.RouteOptTable(rows))
-			if wantMetrics {
-				for i := range rows {
-					for j := range rows[i].Trials {
-						tr := &rows[i].Trials[j]
-						fmt.Printf("== routeopt seed=%d config=%s ==\n", tr.Seed, tr.Name)
-						if *metricsJSON {
-							os.Stdout.Write(tr.Metrics.JSON())
-						} else if err := tr.Metrics.WriteText(os.Stdout); err != nil {
-							fmt.Fprintf(os.Stderr, "mob4x4: write metrics: %v\n", err)
-							os.Exit(1)
-						}
-					}
-				}
-			}
-			for i := range rows {
-				if len(rows[i].Violations) > 0 {
-					fmt.Fprintf(os.Stderr, "mob4x4: routeopt invariant violations (reproduce: mob4x4 -seed %d -nodes %d -cells %d -model %s routeopt)\n",
-						rows[i].Trials[0].Seed, *nodes, *cells, *model)
-					os.Exit(1)
-				}
-			}
-		},
-		"report": func(s int64) {
-			fmt.Print(experiments.Report(s))
-		},
-	}
-	run["fig10"] = run["grid"]
-	order := []string{"fig1", "fig2", "fig4", "fig5", "formats", "grid", "overhead",
-		"adaptive", "durability", "webbrowse", "fa", "transitions", "multicast", "trace",
-		"httpgrid", "dualmobile", "asymmetry", "savings", "chaos"}
-
-	if name == "all" {
-		for _, exp := range order {
-			run[exp](*seed)
-			fmt.Println()
+// runExperiment runs entry (or, for "all", every InAll entry with a blank
+// line after each) and then dumps the collected registries unless the
+// entry printed its own metrics form.
+func runExperiment(w io.Writer, cfg experiments.Config, name string, entry experiments.Experiment, coll *metrics.Collector) error {
+	if name != "all" {
+		if err := entry.Run(w, cfg); err != nil || entry.OwnMetrics {
+			return err
 		}
-		dumpCollector()
-		return
+	} else {
+		for _, e := range experiments.Experiments() {
+			if !e.InAll {
+				continue
+			}
+			if err := e.Run(w, cfg); err != nil {
+				return err
+			}
+			fmt.Fprintln(w)
+		}
 	}
-	fn, ok := run[name]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "mob4x4: unknown experiment %q\n", name)
-		flag.Usage()
-		os.Exit(2)
+	switch cfg.Metrics {
+	case experiments.MetricsJSON:
+		b, err := json.MarshalIndent(coll.Snapshots(), "", "  ")
+		if err != nil {
+			return fmt.Errorf("marshal metrics: %w", err)
+		}
+		fmt.Fprintln(w, string(b))
+	case experiments.MetricsText:
+		if err := coll.WriteText(w); err != nil {
+			return fmt.Errorf("write metrics: %w", err)
+		}
 	}
-	fn(*seed)
-	switch name {
-	case "grid", "fig10", "chaos", "fleet", "adversary", "routeopt":
-		// These print their own metrics form above.
-	default:
-		dumpCollector()
+	return nil
+}
+
+// parseStatus maps a flag parse error (already reported, with the usage,
+// by the flag set) to the exit status: -h is a successful run.
+func parseStatus(err error) int {
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
 	}
+	return 2
+}
+
+// writeHeapProfile settles the live set with a GC, so the profile shows
+// retained memory, and writes it to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	runtime.GC()
+	return pprof.WriteHeapProfile(f)
 }

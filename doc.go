@@ -21,7 +21,8 @@
 //   - internal/experiments — the scenario and measurement code that
 //     regenerates every figure; bench_test.go in this directory exposes
 //     one benchmark per figure/table.
-//   - cmd/mob4x4, cmd/gridshow — CLI front ends.
+//   - cmd/mob4x4 — the CLI front end; `mob4x4 -h` lists every
+//     experiment in the registry (internal/experiments/registry.go).
 //   - examples/ — runnable walkthroughs of the public behavior.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for

@@ -37,13 +37,15 @@ type AdaptiveRow struct {
 //   - optimistic: start Out-DH, fall back on retransmission feedback;
 //   - ruled: the paper's address/mask table pins Out-IE for the home
 //     network, so the conversation starts correctly with no waste.
-func RunAdaptive(seed int64, filtering bool) []AdaptiveRow {
+func RunAdaptive(seed int64, filtering bool) []AdaptiveRow { return adaptiveRows(seed, filtering, 1) }
+
+// adaptiveRows runs the start strategies on up to workers goroutines,
+// results in strategy order.
+func adaptiveRows(seed int64, filtering bool, workers int) []AdaptiveRow {
 	names := adaptiveStrategyNames()
-	rows := make([]AdaptiveRow, len(names))
-	for i, name := range names {
-		rows[i] = runAdaptiveStrategy(seed, filtering, name)
-	}
-	return rows
+	return fanOut(workers, len(names), func(i int) AdaptiveRow {
+		return runAdaptiveStrategy(seed, filtering, names[i])
+	})
 }
 
 func adaptiveStrategyNames() []string {

@@ -83,17 +83,6 @@ func envelope(attack, clean *fleet.Result) []string {
 	return v
 }
 
-// RunAdversaryParallel runs trials E15 trials (seeds seed..seed+trials-1)
-// on up to workers goroutines; results are in seed order and identical
-// to the serial run regardless of worker count.
-func RunAdversaryParallel(seed int64, trials, workers int, spec AdversarySpec) []AdversaryResult {
-	rows := make([]AdversaryResult, trials)
-	parallelEach(workers, trials, func(i int) {
-		rows[i] = RunAdversary(seed+int64(i), spec)
-	})
-	return rows
-}
-
 // AdversaryTable renders E15 trials: one attack-accounting line per
 // trial, the attack-vs-clean handoff quantiles, the legitimate fleet's
 // end state, and (single-trial runs only) the attacked run's fault log

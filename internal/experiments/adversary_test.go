@@ -16,9 +16,10 @@ import (
 var adversaryTestSpec = AdversarySpec{Nodes: 24, Cells: 4}
 
 func TestAdversaryReportParallelIdentical(t *testing.T) {
-	serial := RunAdversaryParallel(31, 2, 1, adversaryTestSpec)
+	trial := func(seed int64) AdversaryResult { return RunAdversary(seed, adversaryTestSpec) }
+	serial := eachTrial(Config{Seed: 31, Trials: 2, Parallel: 1}, trial)
 	want := AdversaryTable(serial)
-	rows := RunAdversaryParallel(31, 2, 4, adversaryTestSpec)
+	rows := eachTrial(Config{Seed: 31, Trials: 2, Parallel: 4}, trial)
 	if got := AdversaryTable(rows); got != want {
 		t.Errorf("AdversaryTable differs between 1 and 4 workers:\n--- serial ---\n%s\n--- 4 workers ---\n%s",
 			want, got)

@@ -294,17 +294,6 @@ func chaosInvariants(r ChaosResult) []string {
 	return v
 }
 
-// RunChaosParallel runs trials chaos trials (seeds seed..seed+trials-1)
-// on up to workers goroutines; results are in seed order and identical
-// to the serial run regardless of worker count.
-func RunChaosParallel(seed int64, trials, workers int) []ChaosResult {
-	rows := make([]ChaosResult, trials)
-	parallelEach(workers, trials, func(i int) {
-		rows[i] = RunChaos(seed + int64(i))
-	})
-	return rows
-}
-
 // ChaosTable renders chaos trials, one block per trial.
 func ChaosTable(rows []ChaosResult) string {
 	var b strings.Builder

@@ -72,9 +72,11 @@ func TestChaosParallelMatchesSerial(t *testing.T) {
 	}
 	seed := chaosSeed(t)
 	const trials = 3
-	serial := RunChaosParallel(seed, trials, 1)
+	cfg := Config{Seed: seed, Trials: trials, Parallel: 1}
+	serial := eachTrial(cfg, RunChaos)
 	for _, workers := range []int{2, 4} {
-		par := RunChaosParallel(seed, trials, workers)
+		cfg.Parallel = workers
+		par := eachTrial(cfg, RunChaos)
 		if !reflect.DeepEqual(serial, par) {
 			t.Errorf("workers=%d diverged from serial (reproduce: CHAOS_SEED=%d)", workers, seed)
 		}

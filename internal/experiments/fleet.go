@@ -25,7 +25,7 @@ type FleetSpec struct {
 
 	// Shards is the worker-goroutine count driving the region shards
 	// inside each trial (fleet.Options.Workers). Orthogonal to the
-	// trial-level parallelism of RunFleetParallel: that knob runs whole
+	// trial-level parallelism of Config.Parallel: that knob runs whole
 	// trials concurrently, this one parallelizes the regions of a single
 	// trial. Output is byte-identical for any value.
 	Shards int
@@ -44,17 +44,6 @@ func RunFleet(seed int64, spec FleetSpec) FleetResult {
 		Model:   spec.Model,
 		Workers: spec.Shards,
 	}).Run()
-}
-
-// RunFleetParallel runs trials fleet trials (seeds seed..seed+trials-1)
-// on up to workers goroutines; results are in seed order and identical
-// to the serial run regardless of worker count.
-func RunFleetParallel(seed int64, trials, workers int, spec FleetSpec) []FleetResult {
-	rows := make([]FleetResult, trials)
-	parallelEach(workers, trials, func(i int) {
-		rows[i] = RunFleet(seed+int64(i), spec)
-	})
-	return rows
 }
 
 // FleetTable renders fleet trials: a summary line per trial, the

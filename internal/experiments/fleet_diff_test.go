@@ -17,10 +17,11 @@ import (
 var fleetTestSpec = FleetSpec{Nodes: 24, Cells: 4}
 
 func TestFleetReportParallelIdentical(t *testing.T) {
-	serial := RunFleetParallel(31, 3, 1, fleetTestSpec)
+	trial := func(seed int64) FleetResult { return RunFleet(seed, fleetTestSpec) }
+	serial := eachTrial(Config{Seed: 31, Trials: 3, Parallel: 1}, trial)
 	want := FleetTable(serial)
 	for _, workers := range []int{2, 4} {
-		rows := RunFleetParallel(31, 3, workers, fleetTestSpec)
+		rows := eachTrial(Config{Seed: 31, Trials: 3, Parallel: workers}, trial)
 		if got := FleetTable(rows); got != want {
 			t.Errorf("FleetTable differs between 1 and %d workers:\n--- serial ---\n%s\n--- %d workers ---\n%s",
 				workers, want, workers, got)

@@ -85,16 +85,17 @@ const gridEchoPort = 7777
 // a fresh scenario and measured with a one-shot UDP echo whose reply
 // source is pinned to the column's address, mirroring how a transport
 // keyed to that address would behave.
-func RunGrid(seed int64) []GridCell {
-	var cells []GridCell
-	for _, combo := range allGridCombos() {
-		cells = append(cells, runGridCell(seed, combo))
-	}
-	return cells
+func RunGrid(seed int64) []GridCell { return gridCells(seed, 1) }
+
+// gridCells measures the 16 cells on up to workers goroutines, in the
+// fixed allGridCombos order whatever the worker count.
+func gridCells(seed int64, workers int) []GridCell {
+	combos := allGridCombos()
+	return fanOut(workers, len(combos), func(i int) GridCell { return runGridCell(seed, combos[i]) })
 }
 
-// allGridCombos is the cell enumeration shared by the serial and parallel
-// grid runners (one fixed order keeps their outputs comparable).
+// allGridCombos is the cell enumeration shared by the UDP and HTTP grid
+// runners (one fixed order keeps their outputs comparable).
 func allGridCombos() []core.Combo { return core.AllCombos() }
 
 // gridTopo varies the scenario topology for the grid property tests. The
@@ -351,8 +352,8 @@ type GridCellMetrics struct {
 	// overhead is visible per (Out, In) pair.
 	MNOutWireBytes map[string]uint64 `json:"mn_out_wire_bytes,omitempty"`
 	MNInWireBytes  map[string]uint64 `json:"mn_in_wire_bytes,omitempty"`
-	Drops         map[string]uint64 `json:"drops,omitempty"`
-	Requirements  string            `json:"requirements,omitempty"`
+	Drops          map[string]uint64 `json:"drops,omitempty"`
+	Requirements   string            `json:"requirements,omitempty"`
 }
 
 // nonzeroByName converts a per-mode counter array into a name-keyed map,
@@ -399,7 +400,7 @@ func CellMetrics(c GridCell) GridCellMetrics {
 
 		MNOutWireBytes: nonzeroByName(c.MNOutWireBytes, metrics.OutModeNames),
 		MNInWireBytes:  nonzeroByName(c.MNInWireBytes, metrics.InModeNames),
-		Requirements:  c.Requirements,
+		Requirements:   c.Requirements,
 	}
 	for cause, n := range c.Drops {
 		if n == 0 {
@@ -421,10 +422,8 @@ type GridReport struct {
 	Cells []GridCellMetrics `json:"cells"`
 }
 
-// RunGridReport measures all 16 cells (on up to workers goroutines) and
-// assembles the report.
-func RunGridReport(seed int64, workers int) GridReport {
-	cells := RunGridParallel(seed, workers)
+// gridReport assembles the report from measured cells.
+func gridReport(cells []GridCell) GridReport {
 	rep := GridReport{Cells: make([]GridCellMetrics, len(cells))}
 	for i, c := range cells {
 		rep.Cells[i] = CellMetrics(c)

@@ -129,9 +129,8 @@ func TestGridTaxonomyProperty(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				combos := allGridCombos()
-				cells := make([]GridCell, len(combos))
-				parallelEach(4, len(combos), func(i int) {
-					cells[i] = runGridCellTopo(seed, combos[i], topo)
+				cells := fanOut(4, len(combos), func(i int) GridCell {
+					return runGridCellTopo(seed, combos[i], topo)
 				})
 				if len(cells) != 16 {
 					t.Fatalf("got %d cells, want 16", len(cells))

@@ -65,19 +65,12 @@ type HTTPCell struct {
 	PcapSHA string // SHA-256 of the capture bytes
 }
 
-// RunHTTPGrid measures all 16 cells serially.
-func RunHTTPGrid(seed int64) []HTTPCell { return RunHTTPGridParallel(seed, 1) }
-
-// RunHTTPGridParallel is RunHTTPGrid on up to workers goroutines. Each
+// httpGridCells measures all 16 cells on up to workers goroutines. Each
 // cell owns a full scenario, driver and capture, so cells parallelize
 // like any other trial and the assembled slice matches the serial run.
-func RunHTTPGridParallel(seed int64, workers int) []HTTPCell {
+func httpGridCells(seed int64, workers int) []HTTPCell {
 	combos := allGridCombos()
-	cells := make([]HTTPCell, len(combos))
-	parallelEach(workers, len(combos), func(i int) {
-		cells[i] = runHTTPGridCell(seed, combos[i])
-	})
-	return cells
+	return fanOut(workers, len(combos), func(i int) HTTPCell { return runHTTPGridCell(seed, combos[i]) })
 }
 
 func runHTTPGridCell(seed int64, combo core.Combo) HTTPCell {

@@ -14,7 +14,7 @@ import (
 // net/http round trip and a DNS exchange complete over the facade in
 // every one of the 16 (Out,In) pairs.
 func TestHTTPGridAllCellsComplete(t *testing.T) {
-	cells := RunHTTPGridParallel(1, 8)
+	cells := httpGridCells(1, 8)
 	if len(cells) != 16 {
 		t.Fatalf("got %d cells", len(cells))
 	}
@@ -47,8 +47,8 @@ func TestHTTPGridAllCellsComplete(t *testing.T) {
 // across serial vs parallel execution, even though blocking net/http
 // goroutines drive the virtual clock.
 func TestHTTPGridCaptureDeterminism(t *testing.T) {
-	a := RunHTTPGridParallel(3, 8)
-	b := RunHTTPGridParallel(3, 8)
+	a := httpGridCells(3, 8)
+	b := httpGridCells(3, 8)
 	for i := range a {
 		if a[i].PcapSHA != b[i].PcapSHA {
 			t.Errorf("%s/%s: capture hash differs between runs: %s vs %s",
@@ -71,7 +71,7 @@ func TestHTTPGridCaptureParses(t *testing.T) {
 	dir := t.TempDir()
 	SetCaptureDir(dir)
 	defer SetCaptureDir("")
-	cells := RunHTTPGridParallel(5, 8)
+	cells := httpGridCells(5, 8)
 	n, err := WriteCaptures()
 	if err != nil {
 		t.Fatalf("WriteCaptures: %v", err)

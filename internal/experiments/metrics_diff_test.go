@@ -11,12 +11,12 @@ import (
 // is shared across scenarios or depends on scheduling.
 
 func TestGridReportIdenticalAcrossWorkers(t *testing.T) {
-	serial := RunGridReport(5, 1).JSON()
+	serial := gridReport(gridCells(5, 1)).JSON()
 	if !strings.Contains(serial, `"out": "Out-IE"`) {
 		t.Fatalf("report JSON missing cells:\n%s", serial)
 	}
 	for _, workers := range []int{4, 8} {
-		if got := RunGridReport(5, workers).JSON(); got != serial {
+		if got := gridReport(gridCells(5, workers)).JSON(); got != serial {
 			t.Errorf("report with %d workers differs from serial run:\nserial:\n%s\nparallel:\n%s", workers, serial, got)
 		}
 	}
@@ -26,8 +26,8 @@ func TestGridReportIdenticalAcrossSeeds(t *testing.T) {
 	// The grid exchange involves no randomness — topology, latencies and
 	// the single echo are all deterministic — so the report is the same
 	// for every seed, which is what makes it a regression artifact.
-	a := RunGridReport(1, 4).JSON()
-	b := RunGridReport(0x5eed, 4).JSON()
+	a := gridReport(gridCells(1, 4)).JSON()
+	b := gridReport(gridCells(0x5eed, 4)).JSON()
 	if a != b {
 		t.Errorf("grid report depends on the seed:\nseed 1:\n%s\nseed 0x5eed:\n%s", a, b)
 	}
@@ -53,7 +53,7 @@ func TestChaosMetricsSnapshotDeterministic(t *testing.T) {
 	}
 	// And the parallel trial runner hands back the same per-trial
 	// snapshot the serial call produces.
-	rows := RunChaosParallel(11, 2, 2)
+	rows := eachTrial(Config{Seed: 11, Trials: 2, Parallel: 2}, RunChaos)
 	if got := string(rows[0].Metrics.JSON()); got != aj {
 		t.Errorf("parallel trial 0 metrics differ from serial RunChaos(11):\n%s\nvs:\n%s", got, aj)
 	}

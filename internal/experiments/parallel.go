@@ -17,18 +17,20 @@ import (
 // Note the virtual clock is untouched: parallelism here is across whole
 // simulations, never within one, so determinism per seed is preserved.
 
-// parallelEach runs fn(0) … fn(n-1) across at most workers goroutines.
-// workers <= 1 degenerates to the plain serial loop. fn must not touch
-// state shared with other trials (each call builds its own Sim).
-func parallelEach(workers, n int, fn func(i int)) {
+// fanOut returns [fn(0), …, fn(n-1)], computed on at most workers
+// goroutines. workers <= 1 runs the calls inline, in index order, with no
+// goroutines. fn must not touch state shared with other trials (each call
+// builds its own Sim).
+func fanOut[T any](workers, n int, fn func(i int) T) []T {
+	out := make([]T, n)
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
+		for i := range out {
+			out[i] = fn(i)
 		}
-		return
+		return out
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -41,53 +43,16 @@ func parallelEach(workers, n int, fn func(i int)) {
 				if i >= n {
 					return
 				}
-				fn(i)
+				out[i] = fn(i)
 			}
 		}()
 	}
 	wg.Wait()
+	return out
 }
 
-// RunGridParallel is RunGrid with the 16 cells executed on up to workers
-// goroutines. Cell order (and every cell's content) is identical to the
-// serial RunGrid for the same seed.
-func RunGridParallel(seed int64, workers int) []GridCell {
-	combos := allGridCombos()
-	cells := make([]GridCell, len(combos))
-	parallelEach(workers, len(combos), func(i int) {
-		cells[i] = runGridCell(seed, combos[i])
-	})
-	return cells
-}
-
-// RunAdaptiveParallel is RunAdaptive with the start strategies executed on
-// up to workers goroutines, results in the serial order.
-func RunAdaptiveParallel(seed int64, filtering bool, workers int) []AdaptiveRow {
-	names := adaptiveStrategyNames()
-	rows := make([]AdaptiveRow, len(names))
-	parallelEach(workers, len(names), func(i int) {
-		rows[i] = runAdaptiveStrategy(seed, filtering, names[i])
-	})
-	return rows
-}
-
-// RunDurabilityParallel runs the home-address and temporary-address E11
-// trials concurrently and returns them in the usual [home, temporary]
-// order.
-func RunDurabilityParallel(seed int64, moves, workers int) []DurabilityResult {
-	rows := make([]DurabilityResult, 2)
-	parallelEach(workers, 2, func(i int) {
-		rows[i] = RunDurability(seed, i == 0, moves)
-	})
-	return rows
-}
-
-// RunWebBrowseParallel runs the Mobile-IP and Out-DT Row-D trials
-// concurrently, returned in [mobileip, out-dt] order.
-func RunWebBrowseParallel(seed int64, n, workers int) []WebBrowseResult {
-	rows := make([]WebBrowseResult, 2)
-	parallelEach(workers, 2, func(i int) {
-		rows[i] = RunWebBrowse(seed, n, i == 0)
-	})
-	return rows
+// eachTrial runs cfg.Trials independent trials (seeds cfg.Seed ..
+// cfg.Seed+cfg.Trials-1) on up to cfg.Parallel workers, in seed order.
+func eachTrial[T any](cfg Config, trial func(seed int64) T) []T {
+	return fanOut(cfg.Parallel, cfg.Trials, func(i int) T { return trial(cfg.Seed + int64(i)) })
 }

@@ -2,61 +2,25 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"strings"
 )
 
-// Report runs every experiment at the given seed and renders one
-// markdown-ish document — the machine-generated companion to
-// EXPERIMENTS.md. `cmd/mob4x4 report` prints it; CI-style checks can diff
-// successive runs (the simulation is deterministic per seed).
-func Report(seed int64) string {
-	var b strings.Builder
-	section := func(title, body string) {
-		fmt.Fprintf(&b, "## %s\n\n```\n%s```\n\n", title, body)
+// Report renders every InAll entry as one markdown document, each under
+// a heading taken from its doc — the machine-generated companion to
+// EXPERIMENTS.md. The entries run as under "all", with metrics off.
+func Report(w io.Writer, cfg Config) error {
+	cfg.Metrics = MetricsOff
+	fmt.Fprintf(w, "# Internet Mobility 4x4 — measured results (seed %d)\n\n", cfg.Seed)
+	for _, e := range Experiments() {
+		if !e.InAll {
+			continue
+		}
+		var body strings.Builder
+		if err := e.Run(&body, cfg); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "## %s — %s\n\n```\n%s```\n\n", e.Name, e.Doc, body.String())
 	}
-	fmt.Fprintf(&b, "# Internet Mobility 4x4 — measured results (seed %d)\n\n", seed)
-
-	section("E1 — Figure 1, basic Mobile IP", RunFig1(seed).String())
-	section("E2/E3 — Figures 2 & 3, filtering and tunneling",
-		RunFig2(seed, true).String()+RunFig2(seed, false).String())
-	section("E4 — Figure 4, triangle routing",
-		Fig4Table(RunFig4(seed, []int{0, 1, 2, 4, 8, 16})))
-	section("E5 — Figure 5, care-of discovery", RunFig5(seed).String())
-	section("E6/E7 — Figures 6-9, packet formats", FormatsTable(RunFormats()))
-
-	grid := RunGrid(seed)
-	agree, total, _ := GridAgreement(grid)
-	section("E8 — Figure 10, the grid",
-		GridTable(grid)+fmt.Sprintf("agreement with the paper: %d/%d\n", agree, total))
-
-	section("E9 — §3.3, encapsulation overhead",
-		OverheadTable(RunOverhead([]int{64, 1400, 1470, 1475, 1500, 4000}, 1500)))
-	fr := RunTunnelFragmentation(seed, 1460)
-	fmt.Fprintf(&b, "end-to-end fragmentation: %d plain vs %d tunneled backbone packets (delivered=%v)\n\n",
-		fr.PlainPackets, fr.TunnelPackets, fr.Delivered)
-
-	section("E10 — §7.1.2, start strategies",
-		AdaptiveTable(RunAdaptive(seed, true))+AdaptiveTable(RunAdaptive(seed, false)))
-	section("E11 — §2, durability", DurabilityTable([]DurabilityResult{
-		RunDurability(seed, true, 3), RunDurability(seed, false, 3),
-	}))
-	mip := RunWebBrowse(seed, 5, true)
-	dt := RunWebBrowse(seed, 5, false)
-	section("Row D — web browsing", fmt.Sprintf(
-		"mobileip: %d/%d in %v, %dB backbone\nout-dt:   %d/%d in %v, %dB backbone\n",
-		mip.Completed, mip.Fetches, mip.TotalTime, mip.BackboneBytes,
-		dt.Completed, dt.Fetches, dt.TotalTime, dt.BackboneBytes))
-	section("§2 — attachment styles", FATable([]FAResult{
-		RunForeignAgent(seed, false), RunForeignAgent(seed, true),
-	}))
-	section("E12 — §7.2, correspondent transitions",
-		RunCorrespondentTransitions(seed).String()+"\n")
-	section("§6.4 — multicast", MulticastTable([]MulticastResult{
-		RunMulticast(seed, true, 10), RunMulticast(seed, false, 10),
-	}))
-	section("§1 — both hosts mobile", RunDualMobile(seed).String())
-	section("§2 — path asymmetry", RunAsymmetry(seed).String())
-	section("§3.2 — shared-resource load", SavingsTable(RunSavings(seed)))
-	section("tunnel opacity (traceroute)", TraceTable(RunTraceroutes(seed)))
-	return b.String()
+	return nil
 }

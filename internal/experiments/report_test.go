@@ -6,36 +6,36 @@ import (
 )
 
 // TestReportCoversEverything smoke-tests the all-experiments document:
-// it must run to completion and contain each section with its headline
+// it must run to completion and contain a section for every entry that
+// "all" runs, headed by its registry doc, with the grid's headline
 // agreement intact.
 func TestReportCoversEverything(t *testing.T) {
-	out := Report(3)
-	for _, want := range []string{
-		"E1 — Figure 1",
-		"E2/E3 — Figures 2 & 3",
-		"E4 — Figure 4",
-		"E5 — Figure 5",
-		"E6/E7 — Figures 6-9",
-		"E8 — Figure 10",
-		"agreement with the paper: 16/16",
-		"E9 — §3.3",
-		"E10 — §7.1.2",
-		"E11 — §2, durability",
-		"Row D — web browsing",
-		"§2 — attachment styles",
-		"E12 — §7.2",
-		"§6.4 — multicast",
-		"§1 — both hosts mobile",
-		"§2 — path asymmetry",
-		"§3.2 — shared-resource load",
-		"tunnel opacity",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q", want)
+	report := func() string {
+		var b strings.Builder
+		if err := Report(&b, Config{Seed: 3, Parallel: 2, Trials: 1}); err != nil {
+			t.Fatalf("report: %v", err)
+		}
+		return b.String()
+	}
+	out := report()
+	sections := 0
+	for _, e := range Experiments() {
+		if !e.InAll {
+			continue
+		}
+		sections++
+		if want := "## " + e.Name + " — " + e.Doc + "\n"; !strings.Contains(out, want) {
+			t.Errorf("report missing heading %q", want)
 		}
 	}
+	if got := strings.Count(out, "\n## "); got != sections {
+		t.Errorf("report has %d sections, want %d (one per entry of all)", got, sections)
+	}
+	if !strings.Contains(out, "agreement with paper classification: 16/16") {
+		t.Error("report lost the grid's 16/16 agreement line")
+	}
 	// Deterministic per seed: the reproduction's core guarantee.
-	if Report(3) != out {
+	if report() != out {
 		t.Error("report not deterministic for a fixed seed")
 	}
 }

@@ -77,8 +77,8 @@ func routeOptConfigs() []struct {
 // result is a pure function of (seed, spec).
 func RunRouteOpt(seed int64, workers int, spec RouteOptSpec) RouteOptResult {
 	configs := routeOptConfigs()
-	res := RouteOptResult{Trials: make([]RouteOptTrial, len(configs))}
-	parallelEach(workers, len(configs), func(i int) {
+	var res RouteOptResult
+	res.Trials = fanOut(workers, len(configs), func(i int) RouteOptTrial {
 		o := fleet.Options{
 			Seed:    seed,
 			Nodes:   spec.Nodes,
@@ -91,7 +91,7 @@ func RunRouteOpt(seed int64, workers int, spec RouteOptSpec) RouteOptResult {
 			FAEvery:  -1,
 			RouteOpt: configs[i].ro,
 		}
-		res.Trials[i] = RouteOptTrial{Name: configs[i].name, Result: fleet.New(o).Run()}
+		return RouteOptTrial{Name: configs[i].name, Result: fleet.New(o).Run()}
 	})
 	trial := func(name string) *fleet.Result {
 		for i := range res.Trials {
@@ -140,23 +140,6 @@ func RunRouteOpt(seed int64, workers int, spec RouteOptSpec) RouteOptResult {
 			fb.PushAcks, fb.CHUpdatesAccepted)
 	}
 	return res
-}
-
-// RunRouteOptParallel runs trials E17 sets (seeds seed..seed+trials-1).
-// The worker budget is shared: each set fans its six configurations out
-// on the same pool via parallelEach's sequential fallback, so results
-// are in seed order and identical to the serial run for any count.
-func RunRouteOptParallel(seed int64, trials, workers int, spec RouteOptSpec) []RouteOptResult {
-	rows := make([]RouteOptResult, trials)
-	if trials == 1 {
-		// A single set gets the whole budget for its configurations.
-		rows[0] = RunRouteOpt(seed, workers, spec)
-		return rows
-	}
-	parallelEach(workers, trials, func(i int) {
-		rows[i] = RunRouteOpt(seed+int64(i), 1, spec)
-	})
-	return rows
 }
 
 // RouteOptTable renders E17: one line per configuration with the

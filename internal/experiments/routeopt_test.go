@@ -16,9 +16,10 @@ import (
 var routeOptTestSpec = RouteOptSpec{Nodes: 24, Cells: 4}
 
 func TestRouteOptReportParallelIdentical(t *testing.T) {
-	serial := RunRouteOptParallel(31, 2, 1, routeOptTestSpec)
+	trial := func(seed int64) RouteOptResult { return RunRouteOpt(seed, 1, routeOptTestSpec) }
+	serial := eachTrial(Config{Seed: 31, Trials: 2, Parallel: 1}, trial)
 	want := RouteOptTable(serial)
-	rows := RunRouteOptParallel(31, 2, 4, routeOptTestSpec)
+	rows := eachTrial(Config{Seed: 31, Trials: 2, Parallel: 4}, trial)
 	if got := RouteOptTable(rows); got != want {
 		t.Errorf("RouteOptTable differs between 1 and 4 workers:\n--- serial ---\n%s\n--- 4 workers ---\n%s",
 			want, got)

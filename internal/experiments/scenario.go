@@ -1,8 +1,8 @@
 // Package experiments builds the scenarios and runs the measurements that
 // regenerate every figure of the paper (see DESIGN.md's per-experiment
 // index). Each experiment returns structured rows so the same code backs
-// the unit tests, the benchmark harness (bench_test.go) and the CLI tools
-// (cmd/mob4x4, cmd/gridshow).
+// the unit tests, the benchmark harness (bench_test.go) and the CLI
+// (cmd/mob4x4, which runs the entries of registry.go).
 package experiments
 
 import (

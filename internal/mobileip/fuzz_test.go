@@ -65,3 +65,53 @@ func FuzzAuthExtension(f *testing.F) {
 		_, _ = ParseMessage(data)
 	})
 }
+
+// FuzzParseMessage feeds arbitrary bytes to the parsers a registration or
+// advertisement datagram reaches: ParseMessage (and through it
+// ParseRequest/ParseReply) on port 434, ParseAdvertisement on the agent
+// beacon port. They must reject garbage without panicking. ParseMessage
+// must agree with the typed parser for the message's type, and whatever
+// is accepted must re-marshal to the bytes it was parsed from.
+func FuzzParseMessage(f *testing.F) {
+	auth := NewAuthenticator(0x101, []byte("fuzz-seed-key"))
+	adv := Advertisement{Agent: [4]byte{128, 9, 1, 1}, Flags: AdvFlagFA, Lifetime: 600, Sequence: 7}
+	req := Request{Lifetime: 300, Home: [4]byte{36, 1, 1, 3}, HomeAgent: [4]byte{36, 1, 1, 2}, CareOf: [4]byte{128, 9, 1, 4}, ID: 42}
+	rep := Reply{Code: CodeAccepted, Lifetime: 300, Home: req.Home, HomeAgent: req.HomeAgent, ID: 42}
+	for _, b := range [][]byte{adv.Marshal(), req.Marshal(), rep.Marshal(), auth.AppendAuth(req.Marshal())} {
+		f.Add(b)
+		f.Add(b[:len(b)-1])
+	}
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if a, err := ParseAdvertisement(data); err == nil {
+			if b := a.Marshal(); !bytes.Equal(b, data[:advLen]) {
+				t.Fatalf("accepted advertisement % x but re-marshals to % x", data[:advLen], b)
+			}
+		}
+		msg, err := ParseMessage(data)
+		if err != nil {
+			return
+		}
+		switch m := msg.(type) {
+		case *Request:
+			r, _, _, ok := ParseRequest(data)
+			if !ok || r != *m {
+				t.Fatalf("ParseMessage request %+v disagrees with ParseRequest %+v (ok=%v)", *m, r, ok)
+			}
+			if b := m.Marshal(); !bytes.Equal(b, data[:requestLen]) {
+				t.Fatalf("accepted request % x but re-marshals to % x", data[:requestLen], b)
+			}
+		case *Reply:
+			r, _, _, ok := ParseReply(data)
+			if !ok || r != *m {
+				t.Fatalf("ParseMessage reply %+v disagrees with ParseReply %+v (ok=%v)", *m, r, ok)
+			}
+			if b := m.Marshal(); !bytes.Equal(b, data[:replyLen]) {
+				t.Fatalf("accepted reply % x but re-marshals to % x", data[:replyLen], b)
+			}
+		default:
+			t.Fatalf("ParseMessage returned %T", msg)
+		}
+	})
+}

@@ -2,9 +2,10 @@ package main
 
 // determinismdiff is the runtime determinism gate (same binary as
 // benchdiff, selected with -determinism): it builds ./cmd/mob4x4 once,
-// runs every experiment twice per seed with identical arguments, and —
-// for the experiments that fan trials out over worker goroutines — once
-// more under -parallel N. The full stdout of each run (tables, metrics
+// runs every entry of the experiment registry twice per seed with
+// identical arguments, once more under -parallel N for the entries that
+// fan trials out over worker goroutines, and once per -shards value for
+// the entries that promise shard-count independence. The full stdout of each run (tables, metrics
 // dumps, report JSON, chaos TSV series) is SHA-256 hashed; any pair of
 // hashes that should match and does not is a determinism violation and
 // the gate exits 1. This is the dynamic counterpart to the mapiter/
@@ -20,59 +21,27 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"mob4x4/internal/experiments"
 )
 
-// detExperiment is one experiment invocation under the gate. Args omit
-// -seed and -parallel; the driver appends those.
-type detExperiment struct {
-	name string
-	args []string
-	// parallelOK marks experiments whose driver accepts -parallel
-	// (independent trials fanned over workers); those also get a
-	// parallel-vs-serial byte comparison.
-	parallelOK bool
-	// shardsOK marks experiments under the sharded-engine contract:
-	// each run with -shards N must be byte-identical to serial for
-	// every N (fleet drives region shards; chaos accepts and ignores
-	// the flag, making the same promise trivially).
-	shardsOK bool
-}
-
-// detExperiments is the full E-series surface. Every experiment that can
-// dump metrics does, so the hash covers counters and histograms, not
-// just the human tables. The chaos and fleet rows use small topologies:
-// the gate is about byte-equality, not scale, and CI pays for every run
-// three times.
-var detExperiments = []detExperiment{
-	{name: "fig1"},
-	{name: "fig2"},
-	{name: "fig3"},
-	{name: "fig4"},
-	{name: "fig5"},
-	{name: "formats"},
-	{name: "grid", args: []string{"-metrics-json"}, parallelOK: true},
-	{name: "overhead", args: []string{"-metrics-json"}},
-	{name: "adaptive", parallelOK: true},
-	{name: "durability", parallelOK: true},
-	{name: "webbrowse", parallelOK: true},
-	{name: "fa", args: []string{"-metrics-json"}},
-	{name: "transitions"},
-	{name: "multicast"},
-	{name: "trace"},
-	// httpgrid's stdout includes each cell's capture SHA-256, so this row
-	// compares the captured pcap bytes themselves — repeats, -parallel
-	// and -shards (accepted and ignored: cells are single-region) must
-	// all reproduce the same wire traffic, timestamps included, even
-	// though real net/http goroutines drive the virtual clock.
-	{name: "httpgrid", parallelOK: true, shardsOK: true},
-	{name: "dualmobile"},
-	{name: "asymmetry"},
-	{name: "savings", args: []string{"-metrics-json"}},
-	{name: "chaos", args: []string{"-trials", "2", "-metrics-json"}, parallelOK: true, shardsOK: true},
-	{name: "fleet", args: []string{"-nodes", "60", "-cells", "6", "-trials", "2", "-metrics-json"}, parallelOK: true, shardsOK: true},
-	{name: "adversary", args: []string{"-nodes", "60", "-cells", "6", "-trials", "2", "-metrics-json"}, parallelOK: true, shardsOK: true},
-	{name: "routeopt", args: []string{"-nodes", "24", "-cells", "4", "-trials", "2", "-metrics-json"}, parallelOK: true, shardsOK: true},
-	{name: "report"},
+// detArgs holds the extra arguments (beyond -seed, -parallel and
+// -shards, which the driver adds) some registry entries run with under
+// the gate; every other entry runs bare. Entries that can dump metrics
+// do, so the hash covers counters and histograms, not just the human
+// tables. The fleet rows use small topologies: the gate is about
+// byte-equality, not scale, and CI pays for every run several times.
+// httpgrid needs nothing extra: its stdout includes each cell's capture
+// SHA-256, so the gate compares the captured pcap bytes themselves.
+var detArgs = map[string][]string{
+	"grid":      {"-metrics-json"},
+	"overhead":  {"-metrics-json"},
+	"fa":        {"-metrics-json"},
+	"savings":   {"-metrics-json"},
+	"chaos":     {"-trials", "2", "-metrics-json"},
+	"fleet":     {"-nodes", "60", "-cells", "6", "-trials", "2", "-metrics-json"},
+	"adversary": {"-nodes", "60", "-cells", "6", "-trials", "2", "-metrics-json"},
+	"routeopt":  {"-nodes", "24", "-cells", "4", "-trials", "2", "-metrics-json"},
 }
 
 // runDeterminism executes the gate; it returns false on any divergence
@@ -103,61 +72,73 @@ func runDeterminism(seedList string, parallel int, shardList string) bool {
 		return false
 	}
 
+	registry := experiments.Experiments()
+	registered := map[string]bool{}
+	for _, e := range registry {
+		registered[e.Name] = true
+	}
+	for name := range detArgs {
+		if !registered[name] {
+			fmt.Fprintf(os.Stderr, "determinism: detArgs names %q, which is not a registered experiment\n", name)
+			return false
+		}
+	}
+
 	ok := true
-	for _, e := range detExperiments {
+	for _, e := range registry {
 		for _, seed := range seeds {
-			serial := append([]string{"-seed", strconv.FormatInt(seed, 10)}, e.args...)
-			serial = append(serial, e.name)
+			serial := append([]string{"-seed", strconv.FormatInt(seed, 10)}, detArgs[e.Name]...)
+			serial = append(serial, e.Name)
 			h1, err := hashRun(bin, serial)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "determinism: FAIL %s seed=%d run 1: %v\n", e.name, seed, err)
+				fmt.Fprintf(os.Stderr, "determinism: FAIL %s seed=%d run 1: %v\n", e.Name, seed, err)
 				ok = false
 				continue
 			}
 			h2, err := hashRun(bin, serial)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "determinism: FAIL %s seed=%d run 2: %v\n", e.name, seed, err)
+				fmt.Fprintf(os.Stderr, "determinism: FAIL %s seed=%d run 2: %v\n", e.Name, seed, err)
 				ok = false
 				continue
 			}
 			if h1 != h2 {
 				fmt.Fprintf(os.Stderr, "determinism: FAIL %s seed=%d: two identical serial runs diverged (%s != %s)\n",
-					e.name, seed, h1[:12], h2[:12])
+					e.Name, seed, h1[:12], h2[:12])
 				ok = false
 				continue
 			}
 			status := "run-to-run ok"
-			if e.parallelOK && parallel > 1 {
-				par := append([]string{"-seed", strconv.FormatInt(seed, 10), "-parallel", strconv.Itoa(parallel)}, e.args...)
-				par = append(par, e.name)
+			if e.Parallel && parallel > 1 {
+				par := append([]string{"-seed", strconv.FormatInt(seed, 10), "-parallel", strconv.Itoa(parallel)}, detArgs[e.Name]...)
+				par = append(par, e.Name)
 				h3, err := hashRun(bin, par)
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "determinism: FAIL %s seed=%d -parallel %d: %v\n", e.name, seed, parallel, err)
+					fmt.Fprintf(os.Stderr, "determinism: FAIL %s seed=%d -parallel %d: %v\n", e.Name, seed, parallel, err)
 					ok = false
 					continue
 				}
 				if h3 != h1 {
 					fmt.Fprintf(os.Stderr, "determinism: FAIL %s seed=%d: -parallel %d output diverged from serial (%s != %s)\n",
-						e.name, seed, parallel, h3[:12], h1[:12])
+						e.Name, seed, parallel, h3[:12], h1[:12])
 					ok = false
 					continue
 				}
 				status = fmt.Sprintf("run-to-run and -parallel %d ok", parallel)
 			}
-			if e.shardsOK {
+			if e.Shards {
 				diverged := false
 				for _, n := range shardCounts {
-					sh := append([]string{"-seed", strconv.FormatInt(seed, 10), "-shards", strconv.FormatInt(n, 10)}, e.args...)
-					sh = append(sh, e.name)
+					sh := append([]string{"-seed", strconv.FormatInt(seed, 10), "-shards", strconv.FormatInt(n, 10)}, detArgs[e.Name]...)
+					sh = append(sh, e.Name)
 					h4, err := hashRun(bin, sh)
 					if err != nil {
-						fmt.Fprintf(os.Stderr, "determinism: FAIL %s seed=%d -shards %d: %v\n", e.name, seed, n, err)
+						fmt.Fprintf(os.Stderr, "determinism: FAIL %s seed=%d -shards %d: %v\n", e.Name, seed, n, err)
 						ok, diverged = false, true
 						break
 					}
 					if h4 != h1 {
 						fmt.Fprintf(os.Stderr, "determinism: FAIL %s seed=%d: -shards %d output diverged from serial (%s != %s)\n",
-							e.name, seed, n, h4[:12], h1[:12])
+							e.Name, seed, n, h4[:12], h1[:12])
 						ok, diverged = false, true
 						break
 					}
@@ -167,7 +148,7 @@ func runDeterminism(seedList string, parallel int, shardList string) bool {
 				}
 				status += fmt.Sprintf(", -shards {%s} ok", shardList)
 			}
-			fmt.Printf("determinism: %-12s seed=%-3d %s (%s)\n", e.name, seed, h1[:12], status)
+			fmt.Printf("determinism: %-12s seed=%-3d %s (%s)\n", e.Name, seed, h1[:12], status)
 		}
 	}
 	return ok
